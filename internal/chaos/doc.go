@@ -20,10 +20,10 @@
 //
 // All randomness derives from one seed (simnet.RNG), every iteration order
 // is sorted, and the data plane is driven in-process on one goroutine, so
-// a printed seed replays the identical event sequence. For the same
-// reason the harness sets Controller.SerialSouthbound on every
-// controller: batched rule programming stays pipelined per device, but
-// devices are flushed in deterministic order so the positional FaultPlan
+// a printed seed replays the identical event sequence. Rule programming
+// keeps that order too: every device of this in-process tree completes
+// inline, in slice order, on the goroutine that issued the operation
+// (the controller's one device fan-out), so the positional FaultPlan
 // injector and the byte-compared event log are reproducible.
 //
 // Entry points: New builds the WAN and its controller hierarchy from

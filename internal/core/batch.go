@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,25 +47,6 @@ type BatchInstaller interface {
 	InstallRules(rules []dataplane.Rule) error
 }
 
-// remoteDevice marks Device implementations whose rule programming
-// leaves the process (a wire protocol round trip, or a delegation into a
-// child controller). Only batches touching at least one remote device
-// are fanned out concurrently: for in-process switches the goroutine
-// hand-off costs more than the installs it would overlap, and keeping
-// them serial preserves deterministic install order for the
-// fault-injection harness's seed replay.
-type remoteDevice interface {
-	remoteSouthbound()
-}
-
-// RemoteSouthbound marks a Device implementation outside this package as
-// remote for southbound fan-out purposes (see remoteDevice): embed it in
-// any wrapper whose rule programming pays a wire round trip, so batches
-// touching it flush concurrently across devices.
-type RemoteSouthbound struct{}
-
-func (RemoteSouthbound) remoteSouthbound() {}
-
 // installRules programs a batch of rules on one device, via the
 // BatchInstaller fast path when available.
 func installRules(d Device, rules []dataplane.Rule) error {
@@ -80,175 +62,287 @@ func installRules(d Device, rules []dataplane.Rule) error {
 }
 
 // ruleBatch accumulates the rules of one logical operation grouped per
-// device, preserving first-touch device order so serial flushes install
-// along the path direction.
+// device, preserving first-touch device order so flushes install along
+// the path direction. Batches are pooled (getBatch/putBatch): every
+// device copies the rules it is handed before its issue returns —
+// in-process devices by value, ConnDevice into FlowMods — so a batch is
+// free for reuse as soon as its fan-out has been issued.
 type ruleBatch struct {
-	order []dataplane.DeviceID
-	rules map[dataplane.DeviceID][]dataplane.Rule
-	size  int
+	// devs lists the touched devices in first-touch order; rules[i] is
+	// the batch for devs[i], and handles[i] its resolved Device (filled
+	// by prepare).
+	devs    []dataplane.DeviceID
+	rules   [][]dataplane.Rule
+	handles []Device
+	size    int
 }
 
-func newRuleBatch() *ruleBatch {
-	return &ruleBatch{rules: make(map[dataplane.DeviceID][]dataplane.Rule)}
-}
+var batchPool = sync.Pool{New: func() any { return new(ruleBatch) }}
 
-func (b *ruleBatch) add(dev dataplane.DeviceID, r dataplane.Rule) {
-	if _, seen := b.rules[dev]; !seen {
-		b.order = append(b.order, dev)
+// getBatch returns an empty batch from the pool.
+func getBatch() *ruleBatch { return batchPool.Get().(*ruleBatch) }
+
+// putBatch empties b, keeping its per-device rule slices for the next
+// user, and returns it to the pool.
+func putBatch(b *ruleBatch) {
+	for i := range b.rules {
+		clear(b.rules[i])
+		b.rules[i] = b.rules[i][:0]
 	}
-	b.rules[dev] = append(b.rules[dev], r)
+	clear(b.handles)
+	b.devs, b.rules, b.handles, b.size = b.devs[:0], b.rules[:0], b.handles[:0], 0
+	batchPool.Put(b)
+}
+
+// add appends r to dev's batch. A batch touches a handful of devices (one
+// path, or one classification fan-out), so a linear scan finds dev.
+func (b *ruleBatch) add(dev dataplane.DeviceID, r dataplane.Rule) {
+	i := slices.Index(b.devs, dev)
+	if i < 0 {
+		i = len(b.devs)
+		b.devs = append(b.devs, dev)
+		if i < cap(b.rules) {
+			b.rules = b.rules[:i+1] // revives the emptied slice putBatch kept
+		} else {
+			b.rules = append(b.rules, nil)
+		}
+	}
+	b.rules[i] = append(b.rules[i], r)
 	b.size++
 }
 
-// asyncInstaller is the optional Device extension for pipelined batch
-// installs: the device enqueues the batch, fences it with a barrier-ID
-// completion, and invokes the callback when the fence resolves. The
-// callback runs on the device's receive or deadline goroutine and must
-// not block.
-type asyncInstaller interface {
-	tryInstallRulesAsync(rules []dataplane.Rule, cb func(error)) bool
+// completer receives the outcome of one asynchronously issued device
+// operation, exactly once.
+type completer interface {
+	complete(err error)
 }
 
-// asyncRemover is the delete-side counterpart of asyncInstaller, used for
-// teardown and rollback fan-out.
-type asyncRemover interface {
-	tryRemoveRulesAsync(cmd southbound.FlowModCommand, owner string, version int, cb func(error)) bool
+// errChan is the completer of a caller that blocks on one operation.
+type errChan chan error
+
+func (c errChan) complete(err error) { c <- err }
+
+// asyncDevice is the optional Device extension for operations whose
+// outcome arrives later: the device issues the operation and reports
+// through done exactly once — possibly before the call returns. A
+// ConnDevice issues mods and a fence and completes from its pump or
+// deadline goroutine; a logicalDevice issues the child's translation
+// through the child's own fan-out. Completions run no routing, rollback
+// or Send: they only record the outcome and wake the waiter.
+type asyncDevice interface {
+	installRulesAsync(rules []dataplane.Rule, done completer)
+	removeRulesAsync(cmd southbound.FlowModCommand, owner string, version int, done completer)
 }
 
-// fanPerDevice overlaps one action per device. Devices capable of
-// asynchronous completion (ConnDevice) have their modifications and
-// fences issued back to back and joined at the end, so N remote devices
-// cost roughly one wire round trip of wall time — with no goroutine
-// hand-off per device. Devices without the capability run through
-// runPerDevice (concurrent for remote devices, serial otherwise). First
-// error wins, and every device is always visited.
-func (c *Controller) fanPerDevice(devs []Device, tryAsync func(Device, func(error)) bool, syncF func(Device) error) error {
-	if c.SerialSouthbound || len(devs) == 0 {
-		return c.runPerDevice(devs, syncF)
+// fanOp is one rule-programming action fanned out across devices: the
+// install of a batch's per-device rules, or one delete command.
+type fanOp struct {
+	// batch, when non-nil, makes the op an install of batch.rules[i] on
+	// the i-th device; otherwise the op is the delete cmd.
+	batch   *ruleBatch
+	cmd     southbound.FlowModCommand
+	owner   string
+	version int
+}
+
+// run applies the op to device i synchronously.
+func (op fanOp) run(d Device, i int) error {
+	if op.batch != nil {
+		return installRules(d, op.batch.rules[i])
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	record := func(err error) {
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
+	switch op.cmd {
+	case southbound.FlowDeleteOwner:
+		return d.RemoveRules(op.owner)
+	case southbound.FlowDeleteOwnerBefore:
+		return d.RemoveRulesBefore(op.owner, op.version)
+	default:
+		return d.RemoveRulesVersion(op.owner, op.version)
+	}
+}
+
+// fanOut is the one device fan-out of rule programming. It visits devs in
+// slice order on the caller's goroutine and starts no goroutine: an
+// asyncDevice issues its operation and completes into j later, so N
+// devices behind wire fences cost about one round trip of wall time;
+// every other device runs inline. An install stops issuing after the
+// first error recorded (the caller rolls the whole batch back); a delete
+// is a best-effort scrub and visits every device. Completions already
+// issued are always joined. In-process trees complete inline, in order,
+// which is what makes a seed replay deterministic.
+func fanOut(devs []Device, op fanOp, j *fanJoin) {
+	for i, d := range devs {
+		if op.batch != nil && j.failed() {
+			return
 		}
-	}
-	var syncDevs []Device
-	for _, d := range devs {
-		wg.Add(1)
-		if tryAsync(d, func(err error) { record(err); wg.Done() }) {
+		ad, ok := d.(asyncDevice)
+		if !ok {
+			j.record(op.run(d, i))
 			continue
 		}
-		wg.Done()
-		syncDevs = append(syncDevs, d)
-	}
-	if len(syncDevs) > 0 {
-		record(c.runPerDevice(syncDevs, syncF))
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// runPerDevice applies f to every device, concurrently when the set
-// contains a remote device (and the controller is not forced serial),
-// first error wins. Serial runs visit devices in slice order and stop at
-// the first error; concurrent runs always visit every device.
-func (c *Controller) runPerDevice(devs []Device, f func(Device) error) error {
-	concurrent := !c.SerialSouthbound && len(devs) > 1
-	if concurrent {
-		concurrent = false
-		for _, d := range devs {
-			if _, ok := d.(remoteDevice); ok {
-				concurrent = true
-				break
-			}
+		j.add()
+		if op.batch != nil {
+			ad.installRulesAsync(op.batch.rules[i], j)
+		} else {
+			ad.removeRulesAsync(op.cmd, op.owner, op.version, j)
 		}
 	}
-	if !concurrent {
-		for _, d := range devs {
-			if err := f(d); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, d := range devs {
-		wg.Add(1)
-		go func(d Device) {
-			defer wg.Done()
-			if err := f(d); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(d)
-	}
-	wg.Wait()
-	return firstErr
 }
 
-// flushBatch programs an accumulated batch: owner and version are
-// stamped onto every rule, all devices are resolved up front (so an
-// unknown device fails the operation before anything is installed), and
-// the per-device batches fan out concurrently across remote devices —
-// each fenced by a single barrier (ConnDevice.InstallRules). On any
-// failure every device of the batch is scrubbed of exactly this version
-// (RemoveRulesVersion), which cannot disturb older versions of the same
-// owner still carrying traffic mid-update (§6).
+// fanJoin joins one fan-out. The issuer holds one count while issuing and
+// every asynchronously issued device holds one until it completes; the
+// first error recorded wins. The outcome goes to a synchronous waiter
+// (wait) or, for a fan-out issued on behalf of a parent's device
+// operation, to the parent's completer (release). Joins are pooled: a
+// join is recycled by whoever takes its outcome, the waiter or the last
+// completion, and must not be touched after wait or release.
+type fanJoin struct {
+	mu      sync.Mutex
+	pending int
+	err     error
+	// parked is set when the waiter sleeps on wake, which the last
+	// completion then signals once.
+	parked bool
+	wake   chan struct{}
+	parent completer
+}
+
+var joinPool = sync.Pool{New: func() any { return &fanJoin{wake: make(chan struct{}, 1)} }}
+
+// newJoin returns a join holding the issuer's count; parent is nil for a
+// synchronous waiter.
+func newJoin(parent completer) *fanJoin {
+	j := joinPool.Get().(*fanJoin)
+	j.pending, j.err, j.parked, j.parent = 1, nil, false, parent
+	return j
+}
+
+func (j *fanJoin) add() {
+	j.mu.Lock()
+	j.pending++
+	j.mu.Unlock()
+}
+
+func (j *fanJoin) record(err error) {
+	if err == nil {
+		return
+	}
+	j.mu.Lock()
+	if j.err == nil {
+		j.err = err
+	}
+	j.mu.Unlock()
+}
+
+func (j *fanJoin) failed() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.err != nil
+}
+
+// complete implements completer for one asynchronously issued device.
+func (j *fanJoin) complete(err error) {
+	j.mu.Lock()
+	if err != nil && j.err == nil {
+		j.err = err
+	}
+	j.pending--
+	if j.pending > 0 {
+		j.mu.Unlock()
+		return
+	}
+	parked, parent := j.parked, j.parent
+	err = j.err
+	j.mu.Unlock()
+	if parked {
+		j.wake <- struct{}{}
+		return
+	}
+	if parent != nil {
+		j.recycle()
+		parent.complete(err)
+	}
+}
+
+// release hands back the issuer's count of a join reporting to a parent.
+func (j *fanJoin) release() { j.complete(nil) }
+
+// wait hands back the issuer's count, blocks until every issued device
+// has completed, and returns the first error recorded.
+func (j *fanJoin) wait() error {
+	j.mu.Lock()
+	j.pending--
+	j.parked = j.pending > 0
+	parked := j.parked
+	j.mu.Unlock()
+	if parked {
+		<-j.wake
+	}
+	err := j.err // the last completion happened before the wake
+	j.recycle()
+	return err
+}
+
+func (j *fanJoin) recycle() {
+	j.err, j.parent = nil, nil
+	joinPool.Put(j)
+}
+
+// removeAll fans one delete command out over devs and waits for every
+// device, returning the first error.
+func removeAll(devs []Device, cmd southbound.FlowModCommand, owner string, version int) error {
+	j := newJoin(nil)
+	fanOut(devs, fanOp{cmd: cmd, owner: owner, version: version}, j)
+	return j.wait()
+}
+
+// prepare resolves every device of b up front (so an unknown device fails
+// the operation before anything is installed) and stamps owner and
+// version onto every rule.
+func (c *Controller) prepare(b *ruleBatch, owner string, version int) error {
+	c.mu.Lock()
+	for _, id := range b.devs {
+		d := c.devices[id]
+		if d == nil {
+			c.mu.Unlock()
+			return fmt.Errorf("core: %s: path device %s not attached", c.ID, id)
+		}
+		b.handles = append(b.handles, d)
+	}
+	c.stats.RulesInstalled += b.size
+	c.mu.Unlock()
+	for _, rules := range b.rules {
+		for i := range rules {
+			rules[i].Owner = owner
+			rules[i].Version = version
+		}
+	}
+	return nil
+}
+
+// flushBatch programs an accumulated batch and waits for it: the
+// per-device batches fan out across the devices (fanOut), each fenced by
+// a single barrier on a ConnDevice. On any failure every device of the
+// batch is scrubbed of exactly this version (RemoveRulesVersion), which
+// cannot disturb older versions of the same owner still carrying traffic
+// mid-update (§6). The caller still owns b.
 func (c *Controller) flushBatch(b *ruleBatch, owner string, version int) error {
 	if b == nil || b.size == 0 {
 		return nil
 	}
 	start := time.Now() //softmow:allow determinism wall clock feeds the flush-latency histogram only, never control decisions
-	devs := make([]Device, 0, len(b.order))
-	for _, id := range b.order {
-		d := c.Device(id)
-		if d == nil {
-			return fmt.Errorf("core: %s: path device %s not attached", c.ID, id)
-		}
-		rules := b.rules[id]
-		for i := range rules {
-			rules[i].Owner = owner
-			rules[i].Version = version
-		}
-		devs = append(devs, d)
+	if err := c.prepare(b, owner, version); err != nil {
+		return err
 	}
-	c.mu.Lock()
-	c.stats.RulesInstalled += b.size
-	c.mu.Unlock()
-	err := c.fanPerDevice(devs,
-		func(d Device, cb func(error)) bool {
-			ai, ok := d.(asyncInstaller)
-			return ok && ai.tryInstallRulesAsync(b.rules[d.ID()], cb)
-		},
-		func(d Device) error { return installRules(d, b.rules[d.ID()]) })
-	if err != nil {
+	j := newJoin(nil)
+	fanOut(b.handles, fanOp{batch: b}, j)
+	if err := j.wait(); err != nil {
 		flushRollbacks.Inc()
 		// The install error is what the caller acts on; the scrub is
 		// best-effort and idempotent (version filters match nothing once
 		// removed), so its own error carries no extra signal. It stays
 		// version-exact: only the batches this flush fenced are removed.
 		//softmow:allow errdiscard rollback is best-effort, the install error propagates
-		_ = c.fanPerDevice(devs,
-			func(d Device, cb func(error)) bool {
-				ar, ok := d.(asyncRemover)
-				return ok && ar.tryRemoveRulesAsync(southbound.FlowDeleteOwnerVersion, owner, version, cb)
-			},
-			func(d Device) error { return d.RemoveRulesVersion(owner, version) })
+		_ = removeAll(b.handles, southbound.FlowDeleteOwnerVersion, owner, version)
 		return err
 	}
 	flushLatency.Observe(time.Since(start))

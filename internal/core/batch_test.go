@@ -97,10 +97,13 @@ func TestBatchRoundTripReduction(t *testing.T) {
 		t.Fatalf("batched install used %d barriers, want 1", batchedBarriers)
 	}
 
+	// The unbatched comparison: one InstallRule — FlowMod plus barrier —
+	// per rule.
 	perRule, pcc := dialCounted(t, net, "S2")
-	perRule.DisableBatch = true
-	if err := perRule.InstallRules(mkRules(4)); err != nil {
-		t.Fatal(err)
+	for _, r := range mkRules(4) {
+		if err := perRule.InstallRule(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	perRuleBarriers := pcc.count(southbound.TypeBarrierRequest)
 	if perRuleBarriers != 4 {
@@ -166,7 +169,8 @@ func TestBarrierTimeoutRetryRollbackOrdering(t *testing.T) {
 	ctrl := NewController("L1", 1, 0)
 	ctrl.AttachDevice(dev)
 
-	batch := newRuleBatch()
+	batch := getBatch()
+	defer putBatch(batch)
 	for i := 0; i < 2; i++ {
 		batch.add("SX", dataplane.Rule{
 			Priority: 10 + i,
@@ -388,9 +392,7 @@ func (c delayedConn) Send(m southbound.Msg) error {
 // benchConnFixture builds a four-switch chain controlled over real
 // binary-framed TCP southbound connections with emulated control-channel
 // latency, so bearer setup pays genuine per-message round-trip costs.
-// perRule disables batching and forces serial device order — the
-// pre-batching baseline.
-func benchConnFixture(b *testing.B, perRule bool) *Controller {
+func benchConnFixture(b *testing.B) *Controller {
 	b.Helper()
 	southbound.RegisterGobTypes(&discovery.Frame{})
 	dpn := dataplane.NewNetwork()
@@ -406,7 +408,6 @@ func benchConnFixture(b *testing.B, perRule bool) *Controller {
 	ep, _ := dpn.AddEgress("E1", "S4", "isp")
 
 	ctrl := NewController("L1", 1, 0)
-	ctrl.SerialSouthbound = perRule
 	for _, id := range []dataplane.DeviceID{"S1", "S2", "S3", "S4"} {
 		agent := southbound.NewSwitchAgent(dpn, dpn.Switch(id))
 		ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
@@ -429,7 +430,6 @@ func benchConnFixture(b *testing.B, perRule bool) *Controller {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dev.DisableBatch = perRule
 		b.Cleanup(func() { dev.Close() })
 		ctrl.AttachDevice(dev)
 	}
@@ -453,8 +453,12 @@ func benchConnFixture(b *testing.B, perRule bool) *Controller {
 	return ctrl
 }
 
-func benchBearerSetupConn(b *testing.B, perRule bool) {
-	ctrl := benchConnFixture(b, perRule)
+// BenchmarkBearerSetupConn measures bearer admission over real
+// binary-framed TCP southbound sessions: each switch's FlowMods ride
+// behind a single asynchronously completed barrier, and the switches'
+// fences overlap.
+func BenchmarkBearerSetupConn(b *testing.B) {
+	ctrl := benchConnFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ue := fmt.Sprintf("u%d", i)
@@ -468,14 +472,4 @@ func benchBearerSetupConn(b *testing.B, perRule bool) {
 		}
 		b.StartTimer()
 	}
-}
-
-// BenchmarkBearerSetupConn measures bearer admission over real
-// binary-framed TCP southbound sessions. "batched" pipelines each
-// switch's FlowMods behind a single asynchronously-completed barrier and
-// fans switches out concurrently; "perrule" is the pre-batching baseline
-// (one synchronous round trip per rule, switches programmed serially).
-func BenchmarkBearerSetupConn(b *testing.B) {
-	b.Run("batched", func(b *testing.B) { benchBearerSetupConn(b, false) })
-	b.Run("perrule", func(b *testing.B) { benchBearerSetupConn(b, true) })
 }

@@ -109,19 +109,14 @@ type ConnDevice struct {
 	// MinRTO floors the adaptive timeout so microsecond in-process RTTs
 	// don't arm hair-trigger deadlines that fire on any scheduling blip.
 	MinRTO time.Duration
-	// DisableBatch forces InstallRules back to one synchronous
-	// FlowMod+barrier round trip per rule — the pre-batching behaviour,
-	// kept for wire compatibility with old agents and as the benchmark
-	// baseline.
-	DisableBatch bool
 }
 
-// barrierComp is one outstanding fence: the callback to fire exactly once,
+// barrierComp is one outstanding fence: the completer to fire exactly once,
 // the modification xid the fence covers, the retry budget consumed, and
 // when the current attempt went on the wire (for RTT sampling; zero after
 // a retransmit per Karn's rule).
 type barrierComp struct {
-	cb       func(error)
+	done     completer
 	modXid   uint32
 	attempts int
 	sentAt   time.Time
@@ -299,7 +294,7 @@ func (d *ConnDevice) failAll() {
 	// Map order is fine here: every completion gets the same ErrClosed and
 	// callbacks are independent of each other.
 	for _, comp := range comps {
-		comp.cb(southbound.ErrClosed)
+		comp.done.complete(southbound.ErrClosed)
 	}
 }
 
@@ -347,7 +342,7 @@ func (d *ConnDevice) pump() {
 				if m.Type == southbound.TypeError && ferr == nil {
 					ferr = d.errorFrom(m)
 				}
-				comp.cb(ferr)
+				comp.done.complete(ferr)
 				continue
 			}
 			// Fenced modification? Stash its error for the covering fence.
@@ -583,10 +578,6 @@ func (d *ConnDevice) Request(m southbound.Msg) (southbound.Msg, error) { return 
 // ID implements Device.
 func (d *ConnDevice) ID() dataplane.DeviceID { return d.id }
 
-// remoteSouthbound marks the device for concurrent batch fan-out: its
-// installs are wire round trips worth overlapping across devices.
-func (d *ConnDevice) remoteSouthbound() {}
-
 // Features implements Device.
 func (d *ConnDevice) Features() southbound.FeatureReply {
 	reply, err := d.request(southbound.Msg{Type: southbound.TypeFeatureRequest, Body: southbound.FeatureRequest{}})
@@ -613,37 +604,26 @@ func (d *ConnDevice) InstallRule(r dataplane.Rule) error {
 // the device may hold a prefix of the batch — callers (flushBatch) roll
 // the affected version back with RemoveRulesVersion.
 func (d *ConnDevice) InstallRules(rules []dataplane.Rule) error {
-	ch := make(chan error, 1)
-	if !d.tryInstallRulesAsync(rules, func(err error) { ch <- err }) {
-		// Per-rule compatibility mode: one synchronous round trip per rule.
-		for _, r := range rules {
-			if err := d.InstallRule(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	ch := make(errChan, 1)
+	d.installRulesAsync(rules, ch)
 	return <-ch
 }
 
-// tryInstallRulesAsync enqueues the rules (batched when possible) and
-// fences them, invoking cb with the outcome when the fence completes; it
-// reports false — and does nothing — when the device is configured for
-// per-rule synchronous installs. cb runs on the device's pump or deadline
-// goroutine and must not block or issue synchronous southbound I/O.
-func (d *ConnDevice) tryInstallRulesAsync(rules []dataplane.Rule, cb func(error)) bool {
-	if d.DisableBatch {
-		return false
-	}
+// installRulesAsync implements asyncDevice: it enqueues the rules (one
+// FlowModBatch when there are several) and fences them, completing done
+// when the fence resolves. The rules are copied into the message before
+// it returns. done runs on the device's pump or deadline goroutine and
+// must not block or issue southbound I/O.
+func (d *ConnDevice) installRulesAsync(rules []dataplane.Rule, done completer) {
 	switch len(rules) {
 	case 0:
-		cb(nil)
-		return true
+		done.complete(nil)
+		return
 	case 1:
 		connFlowMods.Inc()
 		d.modAsync(southbound.Msg{Type: southbound.TypeFlowMod,
-			Body: southbound.FlowMod{Command: southbound.FlowAdd, Rule: rules[0]}}, cb)
-		return true
+			Body: southbound.FlowMod{Command: southbound.FlowAdd, Rule: rules[0]}}, done)
+		return
 	}
 	mods := make([]southbound.FlowMod, len(rules))
 	for i, r := range rules {
@@ -652,18 +632,15 @@ func (d *ConnDevice) tryInstallRulesAsync(rules []dataplane.Rule, cb func(error)
 	connBatches.Inc()
 	connFlowMods.Add(int64(len(rules)))
 	d.modAsync(southbound.Msg{Type: southbound.TypeFlowModBatch,
-		Body: southbound.FlowModBatch{Mods: mods}}, cb)
-	return true
+		Body: southbound.FlowModBatch{Mods: mods}}, done)
 }
 
-// tryRemoveRulesAsync enqueues one delete command and fences it, invoking
-// cb when the fence completes. Deletes are single mods on every
-// configuration, so this is always capable. cb must not block.
-func (d *ConnDevice) tryRemoveRulesAsync(cmd southbound.FlowModCommand, owner string, version int, cb func(error)) bool {
+// removeRulesAsync implements asyncDevice: one delete command, fenced.
+// done must not block.
+func (d *ConnDevice) removeRulesAsync(cmd southbound.FlowModCommand, owner string, version int, done completer) {
 	connFlowMods.Inc()
 	d.modAsync(southbound.Msg{Type: southbound.TypeFlowMod,
-		Body: southbound.FlowMod{Command: cmd, Owner: owner, Version: version}}, cb)
-	return true
+		Body: southbound.FlowMod{Command: cmd, Owner: owner, Version: version}}, done)
 }
 
 // RemoveRules implements Device.
@@ -690,24 +667,24 @@ func (d *ConnDevice) RemoveRulesVersion(owner string, version int) error {
 // awaitFence is the synchronous face of the completion table: enqueue the
 // modification, fence it, wait for the callback.
 func (d *ConnDevice) awaitFence(m southbound.Msg) error {
-	ch := make(chan error, 1)
-	d.modAsync(m, func(err error) { ch <- err })
+	ch := make(errChan, 1)
+	d.modAsync(m, ch)
 	return <-ch
 }
 
 // modAsync sends a modification (single FlowMod or a whole FlowModBatch)
-// with a tracked transaction ID and fences it; cb fires exactly once with
+// with a tracked transaction ID and fences it; done fires exactly once with
 // the operation's outcome. The agent processes a connection's messages in
 // order, so an error reply for the mod is recorded before the fence's
 // barrier reply is routed — the completion resolves mod errors without a
 // read-after-fence race.
-func (d *ConnDevice) modAsync(m southbound.Msg, cb func(error)) {
+func (d *ConnDevice) modAsync(m southbound.Msg, done completer) {
 	x := d.xid.Add(1)
 	m.Xid = x
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		cb(southbound.ErrClosed)
+		done.complete(southbound.ErrClosed)
 		return
 	}
 	d.mods[x] = nil
@@ -716,25 +693,25 @@ func (d *ConnDevice) modAsync(m southbound.Msg, cb func(error)) {
 		d.mu.Lock()
 		delete(d.mods, x)
 		d.mu.Unlock()
-		cb(err)
+		done.complete(err)
 		return
 	}
-	d.fenceAsync(x, cb)
+	d.fenceAsync(x, done)
 }
 
 // fenceAsync registers a barrier completion covering modification modXid
 // and sends the first barrier attempt. Timeouts and retries are driven by
 // the deadline loop; each attempt re-keys the completion under a fresh
 // barrier xid.
-func (d *ConnDevice) fenceAsync(modXid uint32, cb func(error)) {
+func (d *ConnDevice) fenceAsync(modXid uint32, done completer) {
 	connBarriers.Inc()
 	bx := d.xid.Add(1)
-	comp := &barrierComp{cb: cb, modXid: modXid}
+	comp := &barrierComp{done: done, modXid: modXid}
 	d.mu.Lock()
 	if d.closed {
 		delete(d.mods, modXid)
 		d.mu.Unlock()
-		cb(southbound.ErrClosed)
+		done.complete(southbound.ErrClosed)
 		return
 	}
 	timeout := d.rtoLocked()
@@ -749,7 +726,7 @@ func (d *ConnDevice) fenceAsync(modXid uint32, cb func(error)) {
 			if merr == nil {
 				merr = err
 			}
-			cb(merr)
+			done.complete(merr)
 		}
 	}
 }
@@ -773,7 +750,7 @@ func (d *ConnDevice) insertDeadlineLocked(e dlEntry) {
 
 // completeFence removes the fence from the table iff it is still keyed by
 // xid and owned by comp, consuming its mod error. It reports whether the
-// caller now owns the completion (and must invoke cb exactly once).
+// caller now owns the completion (and must complete it exactly once).
 func (d *ConnDevice) completeFence(xid uint32, comp *barrierComp) (error, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -885,12 +862,12 @@ func (d *ConnDevice) fireDeadlines() {
 		if err := d.conn.Send(southbound.Msg{Type: southbound.TypeBarrierRequest, Xid: r.xid, Body: southbound.Barrier{}}); err != nil {
 			//softmow:allow errdiscard the send error is the authoritative failure; any stashed mod error died with the conn
 			if _, ok := d.completeFence(r.xid, r.comp); ok {
-				r.comp.cb(err)
+				r.comp.done.complete(err)
 			}
 		}
 	}
 	for _, comp := range failed {
-		comp.cb(fmt.Errorf("core: device %s: fence failed after %d attempts: %w",
+		comp.done.complete(fmt.Errorf("core: device %s: fence failed after %d attempts: %w",
 			d.id, d.BarrierRetries+1, fmt.Errorf("core: request to %s timed out", d.id)))
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,13 +46,6 @@ type Controller struct {
 	// baseline for path translation (§4.3).
 	Mode pathimpl.Mode
 
-	// SerialSouthbound forces batch flushes and removal fan-outs to visit
-	// devices one at a time in deterministic (path, then sorted) order
-	// instead of concurrently. The fault-injection harness sets it so a
-	// seed replays to a byte-identical event log; it must be set before
-	// the controller starts programming rules.
-	SerialSouthbound bool
-
 	// NIB is this controller's network information base (§4).
 	NIB *nib.NIB
 
@@ -73,6 +67,10 @@ type Controller struct {
 	parentLink ParentLink
 	// devices maps attached device IDs to adapters, guarded by mu.
 	devices map[dataplane.DeviceID]Device
+	// devList is devices sorted by ID, replaced (never mutated) on every
+	// attach and detach so fan-outs read it without copying or sorting.
+	// guarded by mu.
+	devList []Device
 	// children maps child G-switch IDs to child controllers, guarded by mu.
 	children map[dataplane.DeviceID]*Controller
 
@@ -172,6 +170,7 @@ func (c *Controller) AttachDevice(d Device) {
 	}
 	c.mu.Lock()
 	c.devices[d.ID()] = d
+	c.rebuildDevListLocked()
 	c.mu.Unlock()
 	c.refreshDevice(d)
 }
@@ -182,6 +181,7 @@ func (c *Controller) DetachDevice(id dataplane.DeviceID) Device {
 	c.mu.Lock()
 	d := c.devices[id]
 	delete(c.devices, id)
+	c.rebuildDevListLocked()
 	c.mu.Unlock()
 	if d != nil {
 		c.NIB.RemoveDevice(id)
@@ -203,6 +203,7 @@ func (c *Controller) AttachChild(child *Controller) {
 	c.mu.Lock()
 	c.children[child.GSwitchID()] = child
 	c.devices[ld.ID()] = ld
+	c.rebuildDevListLocked()
 	c.mu.Unlock()
 	c.refreshDevice(ld)
 }
@@ -216,20 +217,30 @@ func (c *Controller) Device(id dataplane.DeviceID) Device {
 
 // Devices returns all attached devices in deterministic order.
 func (c *Controller) Devices() []Device {
+	return slices.Clone(c.deviceList())
+}
+
+// deviceList returns the sorted device snapshot itself; callers must not
+// modify it.
+func (c *Controller) deviceList() []Device {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.devList
+}
+
+// rebuildDevListLocked replaces the sorted device snapshot; caller holds
+// mu.
+func (c *Controller) rebuildDevListLocked() {
 	ids := make([]dataplane.DeviceID, 0, len(c.devices))
 	for id := range c.devices {
 		ids = append(ids, id)
 	}
-	c.mu.Unlock()
 	dataplane.SortDeviceIDs(ids)
-	out := make([]Device, 0, len(ids))
-	for _, id := range ids {
-		if d := c.Device(id); d != nil {
-			out = append(out, d)
-		}
+	list := make([]Device, len(ids))
+	for i, id := range ids {
+		list[i] = c.devices[id]
 	}
-	return out
+	c.devList = list
 }
 
 // Child returns the child controller exposing the given G-switch, or nil.

@@ -171,29 +171,28 @@ func (d *logicalDevice) Features() southbound.FeatureReply {
 	return d.child.RecAFeatures()
 }
 
-// remoteSouthbound marks the device for concurrent batch fan-out: each
-// install is a whole recursive translation in the child, so sibling
-// G-switches on a path are worth programming in parallel.
-func (d *logicalDevice) remoteSouthbound() {}
-
 // InstallRule implements Device: the child translates the virtual rule
 // onto its own (physical or logical) topology (§4.3).
 func (d *logicalDevice) InstallRule(r dataplane.Rule) error {
 	return d.child.TranslateRule(r)
 }
 
-// InstallRules implements BatchInstaller: virtual rules translate in
-// order; the first failure aborts the rest. The child's own flush rolls
-// back the failing translation's devices, and the parent's batch
-// rollback (RemoveRulesVersion → RemoveTranslatedVersion) scrubs
-// whatever earlier rules of the batch reached this child.
-func (d *logicalDevice) InstallRules(rules []dataplane.Rule) error {
-	for _, r := range rules {
-		if err := d.child.TranslateRule(r); err != nil {
-			return err
-		}
-	}
-	return nil
+// installRulesAsync implements asyncDevice: the child translates the
+// virtual rules in order on the caller's goroutine and issues them
+// through its own fan-out, so sibling children's wire fences overlap. The
+// first failure stops the rest; the parent's batch rollback
+// (RemoveRulesVersion → RemoveTranslatedVersion) scrubs whatever reached
+// this child.
+func (d *logicalDevice) installRulesAsync(rules []dataplane.Rule, done completer) {
+	d.child.issueTranslation(rules, done)
+}
+
+// removeRulesAsync implements asyncDevice: the delete fans out over every
+// device of the child.
+func (d *logicalDevice) removeRulesAsync(cmd southbound.FlowModCommand, owner string, version int, done completer) {
+	j := newJoin(done)
+	fanOut(d.child.deviceList(), fanOp{cmd: cmd, owner: owner, version: version}, j)
+	j.release()
 }
 
 // RemoveRules implements Device: recursive removal by owner tag.

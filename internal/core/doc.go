@@ -11,11 +11,13 @@
 // All multi-rule operations accumulate rules into a per-device batch
 // (ruleBatch) and flush it through flushBatch: each device receives its
 // rules pipelined behind at most one barrier round trip (BatchInstaller),
-// devices are programmed concurrently when remote (runPerDevice), and a
-// failure anywhere rolls every touched device back by the operation's
-// exact owner/version before any path record becomes visible. DESIGN.md
-// §"Southbound rule programming" describes the protocol and why it
-// preserves the fault-injection invariants.
+// one fan-out (fanOut) visits the devices in order without starting a
+// goroutine — wire devices and child G-switches complete asynchronously
+// into a join, so their round trips overlap — and a failure anywhere
+// rolls every touched device back by the operation's exact owner/version
+// before any path record becomes visible. DESIGN.md §"Southbound rule
+// programming" describes the protocol and why it preserves the
+// fault-injection invariants.
 //
 // # Package layout
 //
@@ -24,7 +26,8 @@
 //   - device.go — Device interface, in-process SwitchDevice, and the
 //     logicalDevice that translates parent rules into child paths
 //   - conndevice.go — ConnDevice, the wire-backed device over southbound
-//   - batch.go — ruleBatch, flushBatch, runPerDevice, BatchInstaller
+//   - batch.go — ruleBatch, fanOut and its join, flushBatch,
+//     BatchInstaller
 //   - pathsetup.go — path install/teardown/reroute and rule translation
 //   - policy.go — middlebox service-policy routing and installation
 //   - mobility.go — bearer admission, §5.1 handovers, UE table

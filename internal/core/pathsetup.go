@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/dataplane"
@@ -89,7 +90,7 @@ func (c *Controller) SetupPathWithDemand(match dataplane.Match, path *routing.Pa
 	c.nextPath++
 	id := c.nextPath
 	version := c.versions.Next()
-	owner := fmt.Sprintf("%s/p%d", c.ID, id)
+	owner := pathOwner(c.ID, id)
 	c.mu.Unlock()
 
 	ctx := ruleCtx{kind: kindClassify, match: match, demand: demandMbps}
@@ -108,6 +109,15 @@ func (c *Controller) SetupPathWithDemand(match dataplane.Match, path *routing.Pa
 	c.mu.Unlock()
 	setupLatency.Observe(time.Since(start))
 	return id, nil
+}
+
+// pathOwner renders the owner tag of a controller's path, "<ctrl>/p<id>",
+// without fmt: it is built on every path set-up.
+func pathOwner(ctrl string, id PathID) string {
+	var buf [48]byte
+	b := append(buf[:0], ctrl...)
+	b = append(b, "/p"...)
+	return string(strconv.AppendInt(b, int64(id), 10))
 }
 
 // Path returns a path record.
@@ -159,12 +169,7 @@ func (c *Controller) TeardownPath(id PathID) error {
 	// deletes fan out with pipelined fences, so a multi-region path tears
 	// down in one wire round trip.
 	//softmow:allow errdiscard best-effort teardown of a deactivated path
-	_ = c.fanPerDevice(devs,
-		func(d Device, cb func(error)) bool {
-			ar, ok := d.(asyncRemover)
-			return ok && ar.tryRemoveRulesAsync(southbound.FlowDeleteOwner, rec.Owner, 0, cb)
-		},
-		func(d Device) error { return d.RemoveRules(rec.Owner) })
+	_ = removeAll(devs, southbound.FlowDeleteOwner, rec.Owner, 0)
 	teardownLatency.Observe(time.Since(start))
 	return nil
 }
@@ -221,12 +226,7 @@ func (c *Controller) CommitReroute(id PathID) error {
 			devs = append(devs, d)
 		}
 	}
-	return c.fanPerDevice(devs,
-		func(d Device, cb func(error)) bool {
-			ar, ok := d.(asyncRemover)
-			return ok && ar.tryRemoveRulesAsync(southbound.FlowDeleteOwnerBefore, rec.Owner, rec.Version, cb)
-		},
-		func(d Device) error { return d.RemoveRulesBefore(rec.Owner, rec.Version) })
+	return removeAll(devs, southbound.FlowDeleteOwnerBefore, rec.Owner, rec.Version)
 }
 
 // ReroutePath performs a full consistent update: make-before-break with
@@ -246,8 +246,50 @@ func (c *Controller) ReroutePath(id PathID, newPath *routing.Path) error {
 // TranslateRule is the RecA agent's entry point for virtual rules pushed
 // by the parent onto this controller's exposed G-switch (§4.3): the rule
 // is mapped onto internal paths between the referenced ports and installed
-// recursively.
+// recursively. It waits for the installs and, on failure, scrubs exactly
+// the rule's version from the devices it touched (flushBatch rollback).
 func (c *Controller) TranslateRule(r dataplane.Rule) error {
+	b := getBatch()
+	defer putBatch(b)
+	if err := c.translate(&r, b); err != nil {
+		return err
+	}
+	return c.flushBatch(b, r.Owner, r.Version)
+}
+
+// issueTranslation is the asynchronous face of TranslateRule, taken when
+// a parent's fan-out reaches this controller's G-switch. Each virtual
+// rule is translated on the caller's goroutine, in order — routing,
+// label allocation, batch build — and its batch is issued through the
+// fan-out before the next rule is translated. Translation stops at the
+// first error recorded. The joined outcome goes to done only; nothing is
+// rolled back here, because the parent's version-exact rollback
+// (RemoveRulesVersion → RemoveTranslatedVersion) scrubs every device of
+// this controller.
+func (c *Controller) issueTranslation(rules []dataplane.Rule, done completer) {
+	j := newJoin(done)
+	for i := range rules {
+		if j.failed() {
+			break
+		}
+		r := &rules[i]
+		b := getBatch()
+		err := c.translate(r, b)
+		if err == nil {
+			err = c.prepare(b, r.Owner, r.Version)
+		}
+		if err == nil {
+			fanOut(b.handles, fanOp{batch: b}, j)
+		}
+		j.record(err)
+		putBatch(b)
+	}
+	j.release()
+}
+
+// translate maps one virtual rule onto this controller's topology and
+// accumulates the resulting rules into b; nothing is programmed.
+func (c *Controller) translate(r *dataplane.Rule, b *ruleBatch) error {
 	c.mu.Lock()
 	c.stats.RulesTranslated++
 	c.mu.Unlock()
@@ -258,7 +300,7 @@ func (c *Controller) TranslateRule(r dataplane.Rule) error {
 
 	dec := decodeActions(r.Actions)
 	if !dec.hasOut {
-		return fmt.Errorf("core: %s: virtual rule without output: %v", c.ID, &r)
+		return fmt.Errorf("core: %s: virtual rule without output: %v", c.ID, r)
 	}
 	outGp := ab.GSwitch.PortByID(dec.out)
 	if outGp == nil {
@@ -286,7 +328,6 @@ func (c *Controller) TranslateRule(r dataplane.Rule) error {
 		// barrier, and a flush failure rolls the entire fan-out back
 		// version-exactly (older versions of the same owner may still
 		// carry traffic mid-update, §6).
-		b := newRuleBatch()
 		for _, src := range srcs {
 			p, err := g.ShortestPath(src, dst, routing.MinHops, routing.Constraints{})
 			if err != nil {
@@ -298,11 +339,11 @@ func (c *Controller) TranslateRule(r dataplane.Rule) error {
 				return err
 			}
 		}
-		return c.flushBatch(b, r.Owner, r.Version)
+		return nil
 	}
 
 	if !r.Match.HasLabel {
-		return fmt.Errorf("core: %s: virtual rule matches neither label nor flow: %v", c.ID, &r)
+		return fmt.Errorf("core: %s: virtual rule matches neither label nor flow: %v", c.ID, r)
 	}
 	inGp := ab.GSwitch.PortByID(r.Match.InPort)
 	if inGp == nil {
@@ -327,9 +368,7 @@ func (c *Controller) TranslateRule(r dataplane.Rule) error {
 		ctx.kind = kindTransit
 		ctx.labelOut = r.Match.Label
 	}
-	// A flush failure scrubs exactly this version from the path devices
-	// (flushBatch rollback), which is all this call can have installed.
-	return c.installPathRules(ctx, p, r.Owner, r.Version)
+	return c.appendPathRules(b, ctx, p, r.Owner, r.Version)
 }
 
 // RemoveTranslated removes, recursively, all rules installed under an
@@ -337,7 +376,7 @@ func (c *Controller) TranslateRule(r dataplane.Rule) error {
 func (c *Controller) RemoveTranslated(owner string) error {
 	// Removals are idempotent filters; a detached device's rules died with
 	// it, so there is no failure mode the parent could act on.
-	_ = c.runPerDevice(c.Devices(), func(d Device) error { return d.RemoveRules(owner) }) //softmow:allow errdiscard idempotent delete, nothing for the parent to act on
+	_ = removeAll(c.deviceList(), southbound.FlowDeleteOwner, owner, 0) //softmow:allow errdiscard idempotent delete, nothing for the parent to act on
 	return nil
 }
 
@@ -345,7 +384,7 @@ func (c *Controller) RemoveTranslated(owner string) error {
 // version (§6 consistent updates).
 func (c *Controller) RemoveTranslatedBefore(owner string, version int) error {
 	//softmow:allow errdiscard idempotent delete, nothing for the parent to act on
-	_ = c.runPerDevice(c.Devices(), func(d Device) error { return d.RemoveRulesBefore(owner, version) })
+	_ = removeAll(c.deviceList(), southbound.FlowDeleteOwnerBefore, owner, version)
 	return nil
 }
 
@@ -354,7 +393,7 @@ func (c *Controller) RemoveTranslatedBefore(owner string, version int) error {
 // live versions untouched.
 func (c *Controller) RemoveTranslatedVersion(owner string, version int) error {
 	//softmow:allow errdiscard idempotent delete, nothing for the parent to act on
-	_ = c.runPerDevice(c.Devices(), func(d Device) error { return d.RemoveRulesVersion(owner, version) })
+	_ = removeAll(c.deviceList(), southbound.FlowDeleteOwnerVersion, owner, version)
 	return nil
 }
 
@@ -402,11 +441,11 @@ func (c *Controller) classificationSources(gport dataplane.PortID) ([]dataplane.
 
 // decoded is the action summary of a virtual rule.
 type decoded struct {
-	out    dataplane.PortID
-	hasOut bool
-	pops   int
-	pushes []dataplane.Label
-	swapTo dataplane.Label
+	out     dataplane.PortID
+	hasOut  bool
+	pops    int
+	pushes  []dataplane.Label
+	swapTo  dataplane.Label
 	hasSwap bool
 }
 
@@ -432,10 +471,11 @@ func decodeActions(actions []dataplane.Action) decoded {
 
 // installPathRules installs one path in this controller's topology under a
 // label context: the path's rules are accumulated into per-device batches
-// and flushed concurrently across the path devices, one barrier per device
+// and fanned out across the path devices, one barrier per device
 // (flushBatch). Rules landing on G-switch devices recurse into children.
 func (c *Controller) installPathRules(ctx ruleCtx, path *routing.Path, owner string, version int) error {
-	b := newRuleBatch()
+	b := getBatch()
+	defer putBatch(b)
 	if err := c.appendPathRules(b, ctx, path, owner, version); err != nil {
 		return err
 	}

@@ -178,14 +178,15 @@ func (c *Controller) SetupPolicyPath(match dataplane.Match, pr *PolicyRoute) (Pa
 	c.nextPath++
 	id := c.nextPath
 	version := c.versions.Next()
-	owner := fmt.Sprintf("%s/p%d", c.ID, id)
+	owner := pathOwner(c.ID, id)
 	c.mu.Unlock()
 
 	// All legs accumulate into one batch: a waypoint switch shared by two
 	// consecutive legs collects both rules behind a single barrier, and a
 	// flush failure rolls the whole chain back before the record exists.
 	label := c.alloc.Next()
-	b := newRuleBatch()
+	b := getBatch()
+	defer putBatch(b)
 	var devices []dataplane.DeviceID
 	var total routing.Cost
 	for i, leg := range pr.Legs {

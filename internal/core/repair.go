@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/routing"
+	"repro/internal/southbound"
 )
 
 // Switch and link failure recovery (§6): "the controller finds affected
@@ -59,9 +60,7 @@ func (c *Controller) RepairPaths(ref dataplane.PortRef) (repaired, failed []Path
 				// removals are idempotent filters and the path is already
 				// marked failed, so a partial cleanup cannot make it worse
 				//softmow:allow errdiscard best-effort cleanup of an already-failed path
-				_ = c.runPerDevice(c.Devices(), func(d Device) error {
-					return d.RemoveRules(owner)
-				})
+				_ = removeAll(c.deviceList(), southbound.FlowDeleteOwner, owner, 0)
 			}
 			failed = append(failed, j.id)
 			continue

@@ -305,9 +305,13 @@ func (n *Network) InstallRule(swID DeviceID, r Rule) error {
 	fault := n.installFault
 	n.mu.RUnlock()
 	if fault != nil {
-		if err := fault(swID, &r); err != nil {
+		// The hook takes a pointer, so the rule it sees lives on the heap;
+		// copying only here keeps r itself off the heap on every install.
+		rc := r
+		if err := fault(swID, &rc); err != nil {
 			return err
 		}
+		r = rc
 	}
 	if r.Demand > 0 {
 		if l := n.outputLink(sw, r); l != nil {

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/ltetrace"
 	"repro/internal/simnet"
@@ -65,8 +66,19 @@ type Op struct {
 	Prefix int // region index whose egress prefix the bearer targets
 }
 
-// UEName renders a UE index as its wire identifier.
-func UEName(ue int) string { return fmt.Sprintf("ue%07d", ue) }
+// UEName renders a UE index as its wire identifier, "ue%07d", without
+// fmt: it runs on every op.
+func UEName(ue int) string {
+	if ue < 0 {
+		return fmt.Sprintf("ue%07d", ue)
+	}
+	var buf [24]byte
+	b := append(buf[:0], "ue"...)
+	for p := 1_000_000; p > 1 && ue < p; p /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(ue), 10))
+}
 
 // TraceLine renders the op as one line of the replayable event trace.
 func (o Op) TraceLine() string {

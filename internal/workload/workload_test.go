@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ltetrace"
@@ -197,5 +198,15 @@ func TestMixFromLTE(t *testing.T) {
 	}
 	if res := eng.Run(); res.Failures != 0 {
 		t.Fatalf("LTE-derived run failed: %v", res.FirstErr)
+	}
+}
+
+// TestUENameMatchesFmt pins UEName to the "ue%07d" form it replaced, at
+// the padding edges.
+func TestUENameMatchesFmt(t *testing.T) {
+	for _, ue := range []int{0, 1, 9, 10, 999_999, 1_000_000, 9_999_999, 10_000_000, 123_456_789, -1, -10_000_000} {
+		if got, want := UEName(ue), fmt.Sprintf("ue%07d", ue); got != want {
+			t.Errorf("UEName(%d) = %q, want %q", ue, got, want)
+		}
 	}
 }
